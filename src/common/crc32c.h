@@ -5,10 +5,25 @@
 /// block over a corrupting channel recomputes the checksum and discards the
 /// block on mismatch. CRC-32C guarantees detection of any single error
 /// burst of at most 32 bits; longer random corruption escapes with
-/// probability 2^-32. The implementation is a portable table-driven one —
-/// stamping happens once per block at dispersal-store build time, off the
-/// GF(2^8) hot path, so hardware CRC instructions are not worth a dispatch
-/// layer here.
+/// probability 2^-32. The store also checks its superblock and catalog
+/// with it.
+///
+/// Verification sits on the served path: the block store re-verifies every
+/// block it reads, and every ReconstructingClient::OfferEx verifies the
+/// block it is offered — so the checksum runs over every payload byte at
+/// least twice per served datagram. Crc32cExtend therefore dispatches, once
+/// per process, to the fastest implementation the CPU supports:
+///
+///   - "sse42": the SSE4.2 `crc32q` instruction, 8 bytes per step (x86-64;
+///     built with a per-file -msse4.2, reached only after a CPUID probe);
+///   - "armv8": the ARMv8 CRC32 `crc32cx` instruction, compiled in when the
+///     toolchain targets the CRC extension (mandatory from ARMv8.1);
+///   - "portable": slicing-by-8 tables, on every host.
+///
+/// CRC-32C is fixed by its polynomial, so every implementation returns the
+/// same value for the same bytes; the choice affects throughput only.
+/// There is no override knob: tests reach each implementation through
+/// internal::Crc32cImpls() (common/crc32c_impl.h).
 
 #ifndef BDISK_COMMON_CRC32C_H_
 #define BDISK_COMMON_CRC32C_H_

@@ -1,5 +1,6 @@
 #include "net/udp_client.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "net/wire.h"
@@ -19,43 +20,58 @@ Result<UdpClient> UdpClient::Create(const UdpClientOptions& options) {
 }
 
 void UdpClient::AddSession(const WireSession& session) {
+  const std::size_t index = sessions_.size();
   sessions_.push_back(ActiveSession{
       session,
       sim::ReconstructingClient(static_cast<ida::FileId>(session.file),
                                 session.m, session.n, options_.block_size),
-      WireSessionResult{},
-      /*tuned_in=*/false});
+      WireSessionResult{}});
   sessions_.back().client.set_require_checksums(options_.require_checksums);
   if (session.start_slot.has_value()) {
     // Prefill so an incomplete result still reports where it listened from.
     sessions_.back().result.start_slot = *session.start_slot;
+    pending_starts_.push_back(index);
+  } else {
+    pending_joiners_.push_back(index);
   }
+  // File indices are the program's dense small integers (ida::FileId).
+  const std::size_t file = session.file;
+  if (file >= listening_.size()) listening_.resize(file + 1);
+  ++incomplete_;
 }
 
-bool UdpClient::AllComplete() const {
-  for (const ActiveSession& s : sessions_) {
-    if (!s.result.session.completed) return false;
+void UdpClient::TuneInJoiners(std::uint64_t slot) {
+  for (const std::size_t i : pending_joiners_) {
+    // Mid-stream join: latency counts from the first slot heard.
+    sessions_[i].result.start_slot = slot;
+    listening_[sessions_[i].spec.file].push_back(i);
   }
-  return true;
+  pending_joiners_.clear();
+}
+
+void UdpClient::TuneInAt(std::uint64_t slot) {
+  TuneInJoiners(slot);
+  // An explicit start tunes in only on a block at or after that slot.
+  while (!pending_starts_.empty() &&
+         *sessions_[pending_starts_.back()].spec.start_slot <= slot) {
+    const std::size_t i = pending_starts_.back();
+    pending_starts_.pop_back();
+    listening_[sessions_[i].spec.file].push_back(i);
+  }
 }
 
 void UdpClient::OfferToSessions(std::uint64_t slot, std::uint64_t epoch,
                                 const ida::Block& block) {
-  for (ActiveSession& s : sessions_) {
-    if (!s.tuned_in) {
-      if (s.spec.start_slot.has_value()) {
-        if (slot < *s.spec.start_slot) continue;
-        s.result.start_slot = *s.spec.start_slot;
-      } else {
-        // Mid-stream join: latency counts from the first slot heard.
-        s.result.start_slot = slot;
-      }
-      s.tuned_in = true;
-    }
-    if (s.result.session.completed) continue;
+  TuneInAt(slot);
+  // The claimed file id is unverified (corruption may have damaged it);
+  // one naming no session's file reaches nobody, exactly as every
+  // session's OfferEx would have answered kWrongFile.
+  if (block.header.file_id >= listening_.size()) return;
+  std::vector<std::size_t>& listeners = listening_[block.header.file_id];
+  for (std::size_t k = 0; k < listeners.size();) {
+    ActiveSession& s = sessions_[listeners[k]];
     const sim::OfferOutcome outcome = s.client.OfferEx(block, epoch);
-    if (outcome == sim::OfferOutcome::kChecksumMismatch &&
-        block.header.file_id == static_cast<ida::FileId>(s.spec.file)) {
+    if (outcome == sim::OfferOutcome::kChecksumMismatch) {
       // Attribution by claimed identity — see the header-comment caveat.
       ++s.result.session.corrupt_detected;
     }
@@ -63,18 +79,30 @@ void UdpClient::OfferToSessions(std::uint64_t slot, std::uint64_t epoch,
       s.result.session.completed = true;
       s.result.session.completion_slot = slot;
       s.result.session.latency = slot - s.result.start_slot + 1;
+      --incomplete_;
+      // A complete session hears nothing more; order within a file's
+      // listeners carries no meaning.
+      listeners[k] = listeners.back();
+      listeners.pop_back();
+      continue;
     }
+    ++k;
   }
 }
 
 Result<std::vector<WireSessionResult>> UdpClient::Run() {
   std::vector<std::uint8_t> buf(65536);
+  std::sort(pending_starts_.begin(), pending_starts_.end(),
+            [this](std::size_t a, std::size_t b) {
+              return *sessions_[a].spec.start_slot >
+                     *sessions_[b].spec.start_slot;
+            });
   // Tuning out the moment every session completes (!linger_until_end)
   // sounds like an optimization but silently breaks any sent-vs-received
   // datagram accounting: the unread stream tail looks exactly like kernel
   // loss to the harness. Lingering to the end marker is the default so
   // the stats cover the whole broadcast.
-  while ((options_.linger_until_end || !AllComplete()) && !stats_.end_seen) {
+  while ((options_.linger_until_end || incomplete_ > 0) && !stats_.end_seen) {
     BDISK_ASSIGN_OR_RETURN(bool readable,
                            socket_.PollReadable(options_.idle_timeout_ms));
     if (!readable) {
@@ -103,12 +131,7 @@ Result<std::vector<WireSessionResult>> UdpClient::Run() {
         ++stats_.idle_datagrams;
         // An idle beacon still tunes mid-stream joiners in: it tells
         // them the broadcast clock.
-        for (ActiveSession& s : sessions_) {
-          if (!s.tuned_in && !s.spec.start_slot.has_value()) {
-            s.result.start_slot = d.slot;
-            s.tuned_in = true;
-          }
-        }
+        TuneInJoiners(d.slot);
         continue;
       }
       ++stats_.block_datagrams;

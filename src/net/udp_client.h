@@ -6,9 +6,12 @@
 /// semantics of the paper: every listener hears the same datagrams, so N
 /// concurrent retrievals cost one wire pass, not N. Each session owns a
 /// `sim::ReconstructingClient` and every received block datagram is
-/// offered to every session that has tuned in; duplicate/stale/corrupt
-/// rejection is the in-process `OfferEx` path, byte for byte (the wire
-/// header carries the block's identity + CRC-32C stamp verbatim).
+/// offered to every tuned-in, incomplete session of the file it claims
+/// (the only sessions `OfferEx` would not answer with kWrongFile), so a
+/// datagram costs O(sessions of its file), not O(all sessions);
+/// duplicate/stale/corrupt rejection is the in-process `OfferEx` path,
+/// byte for byte (the wire header carries the block's identity + CRC-32C
+/// stamp verbatim).
 ///
 /// The loop is single-threaded and non-blocking: `poll(2)` for
 /// readability, drain the socket, decode, offer. It terminates when all
@@ -120,16 +123,26 @@ class UdpClient {
     WireSession spec;
     sim::ReconstructingClient client;
     WireSessionResult result;
-    bool tuned_in = false;
   };
 
+  /// Tunes in the waiting sessions a block at `slot` reaches.
+  void TuneInAt(std::uint64_t slot);
+  /// Tunes in the waiting mid-stream joiners at `slot`.
+  void TuneInJoiners(std::uint64_t slot);
   void OfferToSessions(std::uint64_t slot, std::uint64_t epoch,
                        const ida::Block& block);
-  bool AllComplete() const;
 
   UdpClientOptions options_;
   UdpSocket socket_;
   std::vector<ActiveSession> sessions_;
+  // Indices into sessions_ of the tuned-in, incomplete sessions, by file.
+  std::vector<std::vector<std::size_t>> listening_;
+  // Not yet tuned in: mid-stream joiners (they tune in at the first
+  // datagram heard), and sessions with an explicit start slot, sorted by
+  // descending start at Run() so the next to tune in is at the back.
+  std::vector<std::size_t> pending_joiners_;
+  std::vector<std::size_t> pending_starts_;
+  std::size_t incomplete_ = 0;
   UdpClientStats stats_;
 };
 

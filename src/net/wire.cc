@@ -1,5 +1,6 @@
 #include "net/wire.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace bdisk::net {
@@ -55,8 +56,8 @@ std::vector<std::uint8_t> EncodeBlockDatagram(std::uint64_t slot,
   const auto identity = ida::SerializeIdentity(block.header);
   std::memcpy(out.data() + 24, identity.data(), identity.size());
   PutU32(out.data() + 48, block.header.checksum);
-  std::memcpy(out.data() + kWireHeaderBytes, block.payload.data(),
-              block.payload.size());
+  std::copy(block.payload.begin(), block.payload.end(),
+            out.begin() + kWireHeaderBytes);
   return out;
 }
 

@@ -29,6 +29,13 @@ OfferOutcome ReconstructingClient::OfferEx(const ida::Block& block,
   // either way, and one damaged *into* our id still hits the integrity
   // check below before any other header field is trusted.
   if (block.header.file_id != file_) return OfferOutcome::kWrongFile;
+  // A stamp covers whatever payload it was computed over, so a validly
+  // stamped block of the wrong length (a hostile datagram needs no key to
+  // stamp) must be refused here: admitted, it would count towards m and
+  // make Reconstruct() fail for the whole collection.
+  if (block.payload.size() != engine_.block_size()) {
+    return OfferOutcome::kMalformedHeader;
+  }
   const ida::ChecksumState checksum = ida::VerifyChecksum(block);
   if (checksum == ida::ChecksumState::kMismatch ||
       (require_checksums_ && checksum == ida::ChecksumState::kUnstamped)) {

@@ -35,7 +35,8 @@ enum class OfferOutcome : std::uint8_t {
   kAlreadyComplete,
   /// Ignored: the block belongs to a different file.
   kWrongFile,
-  /// Rejected: header geometry does not match (wrong m/n, index >= n).
+  /// Rejected: header geometry does not match (wrong m/n, index >= n), or
+  /// the payload is not block_size bytes.
   kMalformedHeader,
   /// Rejected: a block with this index is already buffered (duplicates
   /// carry no new information under IDA).

@@ -137,6 +137,29 @@ TEST(OfferOutcomeTest, WrongFileAndMalformedHeaders) {
   EXPECT_EQ(geometry.OfferEx(wrong_m), OfferOutcome::kMalformedHeader);
 }
 
+TEST(OfferOutcomeTest, StampedBlockOfWrongLengthIsMalformed) {
+  // Anyone can stamp a block correctly over any payload; the stamp alone
+  // must not admit one that IDA cannot combine.
+  const auto blocks = DisperseFile(2, 4, 16, 0, 12);
+  for (const std::size_t size : {std::size_t{0}, std::size_t{15},
+                                 std::size_t{17}}) {
+    ReconstructingClient client(0, 2, 4, 16);
+    client.set_require_checksums(true);
+    ida::Block hostile = blocks[0];
+    hostile.payload.resize(size);
+    ida::StampChecksum(&hostile);
+    ASSERT_EQ(ida::VerifyChecksum(hostile), ida::ChecksumState::kValid);
+    EXPECT_EQ(client.OfferEx(hostile), OfferOutcome::kMalformedHeader)
+        << "payload " << size;
+    EXPECT_EQ(client.distinct_blocks(), 0u);
+    EXPECT_EQ(client.checksum_rejected(), 0u);
+    // The genuine blocks still complete and reconstruct.
+    EXPECT_EQ(client.OfferEx(blocks[0]), OfferOutcome::kAccepted);
+    EXPECT_EQ(client.OfferEx(blocks[1]), OfferOutcome::kCompleted);
+    EXPECT_TRUE(client.Reconstruct().ok());
+  }
+}
+
 TEST(OfferOutcomeTest, ClearResetsCollectionButKeepsCounters) {
   const auto blocks = DisperseFile(2, 4, 16, 0, 11);
   ReconstructingClient client(0, 2, 4, 16);

@@ -331,10 +331,13 @@ struct WireRun {
 // One loopback broadcast pass. Returns nullopt when the kernel dropped
 // datagrams (receive-buffer overflow — not channel loss): the caller
 // retries, because kernel loss is scheduler noise, not semantics.
+// `prelude` datagrams reach the listener ahead of the broadcast, as from
+// a second sender on the same port.
 Result<std::optional<WireRun>> RunWireOnce(
     sim::BroadcastServer* server, const faults::ChannelModel* channel,
     const std::vector<WireSession>& sessions,
-    const UdpServerOptions& server_options) {
+    const UdpServerOptions& server_options,
+    const std::vector<std::vector<std::uint8_t>>& prelude) {
   UdpClientOptions client_options;
   client_options.block_size = server->block_size();
   client_options.idle_timeout_ms = 10000;
@@ -344,6 +347,9 @@ Result<std::optional<WireRun>> RunWireOnce(
   BDISK_ASSIGN_OR_RETURN(UdpSocket sender, UdpSocket::Open());
   Endpoint dest;
   dest.port = client.bound_port();
+  for (const auto& datagram : prelude) {
+    BDISK_RETURN_NOT_OK(sender.SendTo(dest, datagram.data(), datagram.size()));
+  }
   SocketSink socket_sink(&sender, dest);
   FaultingSocket faulting(channel, &socket_sink);
   WireSink* sink = channel != nullptr
@@ -364,8 +370,8 @@ Result<std::optional<WireRun>> RunWireOnce(
   run.results = std::move(*results);
   run.client_stats = client.stats();
   run.server_stats = *server_stats;
-  if (run.client_stats.datagrams <
-      socket_sink.sent() - (server_options.end_repeats - 1)) {
+  if (run.client_stats.datagrams < prelude.size() + socket_sink.sent() -
+                                        (server_options.end_repeats - 1)) {
     // Fewer arrived than were handed to the kernel (all end repeats
     // beyond the first may legitimately go unread: Run() returns at the
     // first one). Kernel loss — not deterministic, retry.
@@ -377,11 +383,13 @@ Result<std::optional<WireRun>> RunWireOnce(
 Result<WireRun> RunWireWithRetry(sim::BroadcastServer* server,
                                  const faults::ChannelModel* channel,
                                  const std::vector<WireSession>& sessions,
-                                 const UdpServerOptions& server_options) {
+                                 const UdpServerOptions& server_options,
+                                 const std::vector<std::vector<std::uint8_t>>&
+                                     prelude = {}) {
   for (int attempt = 0; attempt < 5; ++attempt) {
     BDISK_ASSIGN_OR_RETURN(
         std::optional<WireRun> run,
-        RunWireOnce(server, channel, sessions, server_options));
+        RunWireOnce(server, channel, sessions, server_options, prelude));
     if (run.has_value()) return std::move(*run);
   }
   return Status::Internal(
@@ -428,6 +436,50 @@ TEST(UdpLoopbackTest, LosslessBroadcastReconstructsEveryFile) {
   }
   EXPECT_TRUE(run->client_stats.end_seen);
   EXPECT_FALSE(run->client_stats.timed_out);
+}
+
+TEST(UdpLoopbackTest, StampedEmptyBlockDatagramDoesNotEndTheRun) {
+  // A block datagram needs no key to stamp: one claiming file 0, block 0
+  // with no payload and a valid CRC arrives before the broadcast. It must
+  // be refused, not collected — collected, it would make the session's
+  // Reconstruct() fail and with it the whole Run().
+  const auto program = ToyProgram();
+  Rng rng(5);
+  std::vector<std::vector<std::uint8_t>> contents{
+      RandomBytes(5 * kBlockSize, &rng), RandomBytes(3 * kBlockSize, &rng)};
+  auto server = sim::BroadcastServer::Create(program, contents, kBlockSize);
+  ASSERT_TRUE(server.ok()) << server.status();
+
+  ida::Block hostile;
+  hostile.header.file_id = 0;
+  hostile.header.block_index = 0;
+  hostile.header.reconstruct_threshold = program.files()[0].m;
+  hostile.header.total_blocks = program.files()[0].n;
+  ida::StampChecksum(&hostile);
+  const std::vector<std::vector<std::uint8_t>> prelude{
+      EncodeBlockDatagram(/*slot=*/0, /*epoch=*/0, hostile)};
+
+  UdpServerOptions options;
+  options.horizon = 64;
+  std::vector<WireSession> sessions;
+  for (broadcast::FileIndex f = 0; f < 2; ++f) {
+    WireSession s;
+    s.file = f;
+    s.m = program.files()[f].m;
+    s.n = program.files()[f].n;
+    s.start_slot = 0;
+    sessions.push_back(s);
+  }
+  auto run = RunWireWithRetry(&*server, nullptr, sessions, options, prelude);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ASSERT_EQ(run->results.size(), 2u);
+  for (broadcast::FileIndex f = 0; f < 2; ++f) {
+    const auto& r = run->results[f];
+    ASSERT_TRUE(r.session.completed) << "file " << f;
+    EXPECT_EQ(r.session.data, contents[f]) << "file " << f;
+    EXPECT_EQ(r.session.corrupt_detected, 0u) << "file " << f;
+  }
+  EXPECT_EQ(run->client_stats.decode_errors, 0u);
 }
 
 TEST(UdpLoopbackTest, MidStreamTuneInUnderGilbertLossIsByteIdentical) {
